@@ -13,6 +13,7 @@ TargetRegistry& TargetRegistry::Instance() {
 Status TargetRegistry::Register(const std::string& name, Factory factory) {
   if (name.empty()) return InvalidArgumentError("target name must not be empty");
   if (!factory) return InvalidArgumentError("null target factory");
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [existing, unused] : factories_) {
     if (existing == name) {
       return AlreadyExistsError("target '" + name + "' already registered");
@@ -23,6 +24,7 @@ Status TargetRegistry::Register(const std::string& name, Factory factory) {
 }
 
 bool TargetRegistry::Has(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [existing, unused] : factories_) {
     if (existing == name) return true;
   }
@@ -31,13 +33,21 @@ bool TargetRegistry::Has(const std::string& name) const {
 
 Result<std::unique_ptr<target::TargetSystemInterface>> TargetRegistry::Create(
     const std::string& name) const {
-  for (const auto& [existing, factory] : factories_) {
-    if (existing == name) return factory();
+  Factory factory;
+  {
+    // Mint outside the lock: building a board is the slow part, and
+    // campaign threads should not queue behind each other for it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [existing, candidate] : factories_) {
+      if (existing == name) factory = candidate;
+    }
   }
-  return NotFoundError("no registered target '" + name + "'");
+  if (!factory) return NotFoundError("no registered target '" + name + "'");
+  return factory();
 }
 
 std::vector<std::string> TargetRegistry::Names() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
   names.reserve(factories_.size());
   for (const auto& [name, unused] : factories_) names.push_back(name);
@@ -45,6 +55,8 @@ std::vector<std::string> TargetRegistry::Names() const {
 }
 
 void RegisterBuiltinTargets(TargetRegistry& registry) {
+  // Has + Register is not atomic, but a racing duplicate Register fails
+  // AlreadyExists under the lock, which is the idempotence we want.
   if (!registry.Has("thor_rd")) {
     (void)registry.Register("thor_rd", []() {
       return std::make_unique<target::ThorRdTarget>();

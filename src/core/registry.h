@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,9 @@ class TargetRegistry {
       std::function<std::unique_ptr<target::TargetSystemInterface>()>;
 
   // The process-wide registry (function-local static; the only global
-  // mutable state in the library, per DESIGN.md §4).
+  // mutable state in the library, per DESIGN.md §4). Every member is
+  // safe to call from any thread: the daemon's campaign threads mint
+  // targets, and register the built-ins, concurrently.
   static TargetRegistry& Instance();
 
   Status Register(const std::string& name, Factory factory);
@@ -32,6 +35,7 @@ class TargetRegistry {
   std::vector<std::string> Names() const;
 
  private:
+  mutable std::mutex mutex_;
   std::vector<std::pair<std::string, Factory>> factories_;
 };
 

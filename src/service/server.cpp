@@ -309,9 +309,11 @@ ServiceServer::~ServiceServer() { Shutdown(); }
 
 void ServiceServer::Shutdown() {
   if (shutdown_.exchange(true)) return;
+  // Wake the Accept-blocked loop, and close the fd only once it has
+  // returned: closing under a blocked accept races the fd number.
   listener_.Shutdown();
-  listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   std::vector<std::unique_ptr<Connection>> connections;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -332,7 +334,7 @@ void ServiceServer::AcceptLoop() {
     int accept_errno = 0;
     auto connection = listener_.Accept(&accept_errno);
     if (!connection.ok()) {
-      if (shutdown_) break;  // Shutdown() closed the listener
+      if (shutdown_) break;  // Shutdown() shut the listener down
       // Out of fds (EMFILE/ENFILE) or kernel buffers: transient. Back
       // off — reaping above frees fds — and keep serving; a daemon
       // that stops accepting forever over a poll flood is dead to its

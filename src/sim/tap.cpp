@@ -128,10 +128,13 @@ bool TapController::Clock(bool tms, bool tdi) {
     case TapState::kCaptureDr:
       CaptureSelected();
       break;
-    case TapState::kShiftDr:
+    case TapState::kShiftDr: {
       // Bit 0 exits on TDO; TDI enters at the top.
-      tdo = dr_shift_.ShiftRightInsertTop(tdi);
+      BitVector in(1);
+      in.Set(0, tdi);
+      tdo = dr_shift_.ShiftRightInsert(in).Get(0);
       break;
+    }
     case TapState::kCaptureIr:
       ir_shift_ = 0x1;  // IEEE: capture 0b...01
       break;
@@ -157,6 +160,17 @@ bool TapController::Clock(bool tms, bool tdi) {
   }
   state_ = next;
   return tdo;
+}
+
+BitVector TapController::ShiftDataRegister(const BitVector& tdi) {
+  assert(state_ == TapState::kShiftDr);
+  assert(!tdi.empty() && tdi.size() <= dr_shift_.size());
+  // TMS stays 0 until the last bit, so every clock but the last stays
+  // in Shift-DR and the last enters Exit1-DR; neither is an update
+  // state, so there are no side effects beyond the shift itself.
+  tck_cycles_ += tdi.size();
+  state_ = TapState::kExit1Dr;
+  return dr_shift_.ShiftRightInsert(tdi);
 }
 
 void TapController::Reset() {
@@ -190,23 +204,16 @@ BitVector TapController::ReadDataRegister() {
   Clock(false, false);  // Capture-DR
   Clock(false, false);  // -> Shift-DR (capture happened on that clock)
   const std::size_t n = SelectedRegisterLength();
-  BitVector out(n);
-  // First pass: read all bits, feeding zeros.
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool tdo = Clock(/*tms=*/i + 1 == n, /*tdi=*/false);
-    out.Set(i, tdo);
-  }
-  // state: Exit1-DR. Avoid Update-DR (which would apply the zeros we
-  // shifted in): Exit1 -> Pause -> Exit2 -> Shift, re-shift the original
-  // image, then update. Cheaper: go through Update but first restore the
-  // image by a second full rotation. Simplest correct path: re-enter
-  // Shift-DR and shift the saved image back in, then update.
+  assert(dr_shift_.size() == n);
+  // First pass: read all bits, feeding zeros; ends in Exit1-DR.
+  BitVector out = ShiftDataRegister(BitVector(n));
+  // Update-DR now would apply the zeros we shifted in, so detour
+  // Exit1 -> Pause -> Exit2 -> Shift, shift the saved image back in,
+  // then update.
   Clock(false, false);  // Pause-DR
   Clock(true, false);   // Exit2-DR
   Clock(false, false);  // Shift-DR
-  for (std::size_t i = 0; i < n; ++i) {
-    Clock(/*tms=*/i + 1 == n, out.Get(i));
-  }
+  ShiftDataRegister(out);
   Clock(true, false);   // Update-DR (writes back what we read: no-op image)
   Clock(false, false);  // Run-Test/Idle
   return out;
@@ -218,12 +225,8 @@ BitVector TapController::ExchangeDataRegister(const BitVector& image) {
   Clock(true, false);   // Select-DR-Scan
   Clock(false, false);  // Capture-DR
   Clock(false, false);  // -> Shift-DR
-  const std::size_t n = image.size();
-  BitVector out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool tdo = Clock(/*tms=*/i + 1 == n, image.Get(i));
-    out.Set(i, tdo);
-  }
+  assert(dr_shift_.size() == image.size());
+  BitVector out = ShiftDataRegister(image);
   Clock(true, false);   // Update-DR: the shifted-in image is applied
   Clock(false, false);  // Run-Test/Idle
   return out;

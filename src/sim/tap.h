@@ -54,6 +54,13 @@ class TapController {
   // Clock one TCK edge with the given TMS/TDI levels; returns TDO.
   bool Clock(bool tms, bool tdi);
 
+  // From Shift-DR, clock k = tdi.size() TCKs in one call (1 <= k <= the
+  // register length): exactly what k calls of Clock(tms = last bit,
+  // tdi[i]) do. Returns the k TDO bits (the low k bits of the register,
+  // bit 0 first), shifts `tdi` in at the top, counts k TCK cycles and
+  // ends in Exit1-DR; no Update-DR fires on these clocks.
+  BitVector ShiftDataRegister(const BitVector& tdi);
+
   // Synchronous reset (5 TMS=1 clocks reach Test-Logic-Reset from any
   // state; this helper just does it).
   void Reset();
@@ -63,7 +70,7 @@ class TapController {
   TapControllerState CaptureState() const;
   void RestoreState(const TapControllerState& state);
 
-  // --- test-card conveniences built on Clock() ------------------------
+  // --- test-card conveniences built on Clock()/ShiftDataRegister() ----
   // Load a TAP instruction through Shift-IR.
   void LoadInstruction(TapInstruction instruction);
   // Capture + shift out the selected data register. The returned image

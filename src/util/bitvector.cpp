@@ -1,5 +1,6 @@
 #include "util/bitvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -111,16 +112,26 @@ void BitVector::FillOne() {
   MaskTail();
 }
 
-bool BitVector::ShiftRightInsertTop(bool top) {
-  assert(bit_count_ > 0);
-  const bool out = (words_[0] & 1u) != 0;
-  for (std::size_t i = 0; i + 1 < words_.size(); ++i) {
-    words_[i] = (words_[i] >> 1) | (words_[i + 1] << 63);
+BitVector BitVector::ShiftRightInsert(const BitVector& in) {
+  const std::size_t k = in.bit_count_;
+  assert(k <= bit_count_);
+  const std::size_t kept = bit_count_ - k;
+  BitVector out(k);
+  for (std::size_t i = 0; i < out.words_.size(); ++i) {
+    const std::size_t bit = i * kWordBits;
+    out.words_[i] = GetField(bit, std::min(kWordBits, k - bit));
   }
-  words_.back() >>= 1;
-  if (top) {
-    const std::size_t last = bit_count_ - 1;
-    words_[last / kWordBits] |= std::uint64_t{1} << (last % kWordBits);
+  // Ascending word order: word i is read (bits k+64i...) before any
+  // later write can reach it, so the move is safe in place. Writing
+  // whole words zeroes the top of the last kept word; the insert below
+  // covers every bit above `kept`.
+  for (std::size_t bit = 0; bit < kept; bit += kWordBits) {
+    words_[bit / kWordBits] =
+        GetField(k + bit, std::min(kWordBits, kept - bit));
+  }
+  for (std::size_t i = 0; i < in.words_.size(); ++i) {
+    const std::size_t bit = i * kWordBits;
+    SetField(kept + bit, std::min(kWordBits, k - bit), in.words_[i]);
   }
   return out;
 }

@@ -39,10 +39,13 @@ class BitVector {
   void FillZero();
   void FillOne();
 
-  // Shift the whole vector right by one (bit 1 -> bit 0, ...), inserting
-  // `top` as the new highest bit, and return the old bit 0. This is the
-  // TAP controller's shift-register step; word-level, O(size/64).
-  bool ShiftRightInsertTop(bool top);
+  // Funnel shift: with k = in.size() <= size(), shift the whole vector
+  // right by k (bit k -> bit 0, ...), lay `in` into the k bits freed at
+  // the top (in bit 0 -> bit size()-k), and return the k bits shifted
+  // out of the bottom (old bit 0 first). This is the TAP controller's
+  // shift register: k TCKs of Shift-DR in one O(size/64) pass, whatever
+  // k is.
+  BitVector ShiftRightInsert(const BitVector& in);
 
   // '0'/'1' string, bit 0 first; and the inverse parse ("0110...").
   std::string ToBitString() const;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_dir.h"
 #include "target/cache_target.h"
 #include "target/thor_rd_target.h"
 
@@ -24,7 +25,7 @@ const LintDiagnostic* Find(const std::vector<LintDiagnostic>& diagnostics,
 
 std::string WriteTempFile(const std::string& name,
                           const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = (TestTempRoot() / name).string();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
   return path;

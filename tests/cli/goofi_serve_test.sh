@@ -175,25 +175,35 @@ if "$SUBMIT" --socket "$SOCK" ping > /dev/null 2>&1; then
 fi
 
 # --- one-shot goofi_tool drains on SIGINT with exit code 3 ---------------
+# Signal only once the run is provably in flight: its first progress
+# line is printed after the drain handler is installed. The campaign is
+# sized so the rest of it takes seconds, while the signal lands within
+# one 50 ms poll of that line.
 cat > gamma.ini <<'EOF'
 [campaign]
 name = gamma
 workload = fib
 technique = scifi
-experiments = 4000
+experiments = 20000
 seed = 5
 location[] = cpu.regs.*
 EOF
 "$TOOL" run gamma.ini --db gamma_db > gamma.out 2>&1 &
 TOOL_PID=$!
-sleep 1
-kill -INT "$TOOL_PID"
+i=0
+until grep -q '\[[0-9]*/20000\]' gamma.out; do
+  kill -0 "$TOOL_PID" 2>/dev/null || fail "goofi_tool exited before any progress"
+  i=$((i + 1))
+  test "$i" -lt 1200 || fail "goofi_tool never reported progress"
+  sleep 0.05
+done
+kill -INT "$TOOL_PID" || fail "goofi_tool finished before SIGINT landed"
 wait "$TOOL_PID" && RC=0 || RC=$?
 test "$RC" -eq 3 || fail "interrupted goofi_tool must exit 3, got $RC"
 grep -q "checkpoint saved" gamma.out || fail "drain message"
 # The checkpointed campaign resumes to completion.
 "$TOOL" resume gamma --db gamma_db > /dev/null 2>&1 || fail "resume gamma"
-"$TOOL" analyze gamma --db gamma_db | grep -q "4000 experiments" \
+"$TOOL" analyze gamma --db gamma_db | grep -q "20000 experiments" \
   || fail "resumed gamma incomplete"
 
 echo "goofi_serve CLI: all checks passed"

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "core/goofi.h"
+#include "support/temp_dir.h"
 
 namespace goofi::core {
 namespace {
@@ -95,8 +96,7 @@ TEST_F(IntegrationTest, DatabaseSurvivesSaveAndLoadBetweenPhases) {
   CampaignRunner runner(&database_, &target_);
   ASSERT_TRUE(runner.Run("it_persist").ok());
 
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_integration_db").string();
+  const std::string dir = (TestTempRoot() / "goofi_integration_db").string();
   fs::remove_all(dir);
   ASSERT_TRUE(database_.SaveToDirectory(dir).ok());
   auto reloaded = db::Database::LoadFromDirectory(dir);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/registry.h"
 #include "target/thor_rd_target.h"
 
@@ -55,6 +59,33 @@ TEST(RegistryTest, ThorLacksCacheParityCheckers) {
   target::ThorRdTarget thor_rd;
   EXPECT_EQ(thor->ListLocations().size(),
             thor_rd.ListLocations().size());
+}
+
+TEST(RegistryTest, ConcurrentMintingOnFreshRegistry) {
+  // What goofi_serve's campaign threads do: each registers the built-ins
+  // (idempotently) and mints targets, all at once, on a registry nobody
+  // populated first. Run under TSan this must be race-free.
+  TargetRegistry registry;
+  constexpr int kThreads = 8;
+  std::atomic<int> minted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry, &minted] {
+      for (int i = 0; i < 3; ++i) {
+        RegisterBuiltinTargets(registry);
+        for (const char* name : {"thor_rd", "thor", "cache_hierarchy"}) {
+          auto target = registry.Create(name);
+          if (target.ok() && *target != nullptr &&
+              (*target)->target_name() == name) {
+            ++minted;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(minted.load(), kThreads * 3 * 3);
+  EXPECT_EQ(registry.Names().size(), 3u);
 }
 
 TEST(RegistryTest, RejectsBadRegistrations) {

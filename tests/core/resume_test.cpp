@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "core/goofi.h"
+#include "support/temp_dir.h"
 
 namespace goofi::core {
 namespace {
@@ -109,8 +110,7 @@ TEST_F(ResumeTest, RunRefusesToRerunCompletedCampaign) {
 
 TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_checkpoint_test").string();
+  const std::string dir = (TestTempRoot() / "goofi_checkpoint_test").string();
   fs::remove_all(dir);
 
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("ckpt")).ok());
@@ -144,7 +144,7 @@ TEST_F(ResumeTest, CrashRecoveryViaCheckpointDirectory) {
 TEST_F(ResumeTest, ParallelCrashAfterCheckpointResumesWithOtherWorkerCount) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_parallel_checkpoint_test").string();
+      (TestTempRoot() / "goofi_parallel_checkpoint_test").string();
   fs::remove_all(dir);
 
   ASSERT_TRUE(StoreCampaign(database_, MakeConfig("pckpt")).ok());

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_dir.h"
+
 namespace goofi::db {
 namespace {
 
@@ -189,8 +191,7 @@ TEST(DatabaseTest, SchemaSerializationRoundTrip) {
 
 TEST(DatabaseTest, SaveAndLoadDirectory) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_test").string();
+  const std::string dir = (TestTempRoot() / "goofi_db_test").string();
   fs::remove_all(dir);
   {
     Database database = MakeLinked();
@@ -214,8 +215,7 @@ TEST(DatabaseTest, SaveAndLoadDirectory) {
 
 TEST(DatabaseTest, SaveOrdersParentsBeforeChildren) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_order_test").string();
+  const std::string dir = (TestTempRoot() / "goofi_db_order_test").string();
   fs::remove_all(dir);
   Database database;
   // Alphabetically the child ("a_child") precedes the parent ("z_parent"),
@@ -240,8 +240,7 @@ TEST(DatabaseTest, SaveOrdersParentsBeforeChildren) {
 
 TEST(DatabaseTest, LoadHandlesSelfRefChildBeforeParentRows) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_selfref_test").string();
+  const std::string dir = (TestTempRoot() / "goofi_db_selfref_test").string();
   fs::remove_all(dir);
   {
     Database database;
@@ -268,8 +267,7 @@ TEST(DatabaseTest, MissingDirectoryReportsIoError) {
 
 TEST(DatabaseTest, SaveReplacesDirectoryAtomically) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_atomic_test").string();
+  const std::string dir = (TestTempRoot() / "goofi_db_atomic_test").string();
   fs::remove_all(dir);
 
   Database database;
@@ -299,7 +297,7 @@ TEST(DatabaseTest, SaveReplacesDirectoryAtomically) {
 TEST(DatabaseTest, LoadRecoversInterruptedSave) {
   namespace fs = std::filesystem;
   const std::string dir =
-      (fs::temp_directory_path() / "goofi_db_interrupted_test").string();
+      (TestTempRoot() / "goofi_db_interrupted_test").string();
   fs::remove_all(dir);
   fs::remove_all(dir + ".saving");
 

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "db/database.h"
+#include "support/temp_dir.h"
 #include "util/rng.h"
 
 namespace goofi::db {
@@ -97,7 +98,7 @@ TEST_P(PersistenceFuzz, RandomDatabaseRoundTrips) {
   }
 
   const std::string dir =
-      (fs::temp_directory_path() /
+      (TestTempRoot() /
        ("goofi_persist_fuzz_" + std::to_string(GetParam()))).string();
   fs::remove_all(dir);
   ASSERT_TRUE(database.SaveToDirectory(dir).ok());
@@ -169,7 +170,7 @@ TEST_P(WalPersistenceFuzz, ReplayedStateMatchesMemory) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 2862933555777941757ULL +
           3037000493ULL);
   const std::string dir =
-      (fs::temp_directory_path() /
+      (TestTempRoot() /
        ("goofi_wal_fuzz_" + std::to_string(GetParam()))).string();
   fs::remove_all(dir);
 

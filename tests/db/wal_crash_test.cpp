@@ -18,6 +18,7 @@
 
 #include "db/database.h"
 #include "db/wal.h"
+#include "support/temp_dir.h"
 
 namespace goofi::db {
 namespace {
@@ -225,7 +226,7 @@ std::string ExpectedAtCut(const ScriptedRun& run, std::uint64_t cut) {
 // ---- the crash sweeps ---------------------------------------------------
 
 TEST(WalCrashTest, CutPointSweepRecoversToLastCommit) {
-  const fs::path base = fs::temp_directory_path() / "goofi_wal_cut";
+  const fs::path base = TestTempRoot() / "goofi_wal_cut";
   ScriptedRun run;
   BuildScriptedRun(base / "full", &run);
 
@@ -256,7 +257,7 @@ TEST(WalCrashTest, CutPointSweepRecoversToLastCommit) {
 }
 
 TEST(WalCrashTest, TornWritesRecoverToLastSuccessfulCommit) {
-  const fs::path base = fs::temp_directory_path() / "goofi_wal_torn";
+  const fs::path base = TestTempRoot() / "goofi_wal_torn";
   fs::remove_all(base);
 
   // Size the budget sweep off an undamaged run.
@@ -301,7 +302,7 @@ TEST(WalCrashTest, TornWritesRecoverToLastSuccessfulCommit) {
 }
 
 TEST(WalCrashTest, BitFlipsNeverExposePartialBatches) {
-  const fs::path base = fs::temp_directory_path() / "goofi_wal_flip";
+  const fs::path base = TestTempRoot() / "goofi_wal_flip";
   ScriptedRun run;
   BuildScriptedRun(base / "full", &run);
 
@@ -334,7 +335,7 @@ TEST(WalCrashTest, BitFlipsNeverExposePartialBatches) {
 }
 
 TEST(WalCrashTest, CompactionCrashWindowFallsBackToSnapshots) {
-  const fs::path base = fs::temp_directory_path() / "goofi_wal_compact";
+  const fs::path base = TestTempRoot() / "goofi_wal_compact";
   ScriptedRun run;
   BuildScriptedRun(base / "full", &run);
   const std::string final_state = run.boundaries.back().second;

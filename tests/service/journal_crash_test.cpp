@@ -15,6 +15,7 @@
 
 #include "db/wal.h"
 #include "service/journal.h"
+#include "support/temp_dir.h"
 
 namespace goofi::service {
 namespace {
@@ -144,7 +145,7 @@ void CheckInvariants(SubmissionJournal& journal) {
 // Acknowledged transitions must survive; the half-written one must
 // vanish entirely.
 TEST(JournalCrashTest, TornWriteSweepKeepsEveryAcknowledgedTransition) {
-  const fs::path base = fs::temp_directory_path() / "goofi_journal_torn";
+  const fs::path base = TestTempRoot() / "goofi_journal_torn";
   fs::remove_all(base);
   std::string creation_dump;
   BuildProtoJournal((base / "proto").string(), &creation_dump);
@@ -197,7 +198,7 @@ TEST(JournalCrashTest, TornWriteSweepKeepsEveryAcknowledgedTransition) {
 // (SIGKILL plus a dying disk). Recovery must land on the youngest
 // committed transition at or below the cut.
 TEST(JournalCrashTest, CutPointSweepRecoversToACommittedTransition) {
-  const fs::path base = fs::temp_directory_path() / "goofi_journal_cut";
+  const fs::path base = TestTempRoot() / "goofi_journal_cut";
   fs::remove_all(base);
   std::string creation_dump;
   const std::string full = (base / "full").string();

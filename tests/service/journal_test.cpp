@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "service/journal.h"
+#include "support/temp_dir.h"
 
 namespace goofi::service {
 namespace {
@@ -19,7 +20,7 @@ namespace fs = std::filesystem;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "goofi_journal_test").string();
+    dir_ = (TestTempRoot() / "goofi_journal_test").string();
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "service/protocol.h"
+#include "support/temp_dir.h"
 #include "util/crc32.h"
 #include "util/socket.h"
 
@@ -65,7 +66,7 @@ TEST(ProtocolTest, ResponsesRoundTripStatusCodes) {
 
 TEST(SocketTest, FramesRoundTripAndEofIsClean) {
   const std::string path =
-      (fs::temp_directory_path() / "goofi_protocol_test.sock").string();
+      (TestTempRoot() / "goofi_protocol_test.sock").string();
   auto listener = UnixSocket::Listen(path);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 
@@ -114,8 +115,7 @@ TEST(SocketTest, FramesRoundTripAndEofIsClean) {
 }
 
 TEST(SocketTest, CorruptedFrameFailsItsCrc) {
-  const std::string path =
-      (fs::temp_directory_path() / "goofi_crc_test.sock").string();
+  const std::string path = (TestTempRoot() / "goofi_crc_test.sock").string();
   auto listener = UnixSocket::Listen(path);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
 

@@ -14,6 +14,7 @@
 
 #include "db/wal.h"
 #include "service/executor.h"
+#include "support/temp_dir.h"
 
 namespace goofi::service {
 namespace {
@@ -34,7 +35,7 @@ constexpr const char* kIni =
 
 std::string TempDir(const std::string& leaf) {
   const std::string dir =
-      (fs::temp_directory_path() / ("goofi_restart_equiv_" + leaf)).string();
+      (TestTempRoot() / ("goofi_restart_equiv_" + leaf)).string();
   fs::remove_all(dir);
   return dir;
 }

@@ -12,6 +12,7 @@
 #include "db/wal.h"
 #include "service/executor.h"
 #include "service/server.h"
+#include "support/temp_dir.h"
 
 namespace goofi::service {
 namespace {
@@ -75,7 +76,7 @@ void AwaitActive(ServiceCore& core, std::uint64_t id) {
 class ServiceCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = (fs::temp_directory_path() / "goofi_service_core_test").string();
+    root_ = (TestTempRoot() / "goofi_service_core_test").string();
     fs::remove_all(root_);
   }
   void TearDown() override { fs::remove_all(root_); }
@@ -233,9 +234,9 @@ TEST_F(ServiceCoreTest, DrainRestartResumeMatchesOneShot) {
 
   // Reference one-shot runs of the same inis.
   const std::string ref_a =
-      (fs::temp_directory_path() / "goofi_service_core_ref_a").string();
+      (TestTempRoot() / "goofi_service_core_ref_a").string();
   const std::string ref_b =
-      (fs::temp_directory_path() / "goofi_service_core_ref_b").string();
+      (TestTempRoot() / "goofi_service_core_ref_b").string();
   fs::remove_all(ref_a);
   fs::remove_all(ref_b);
   ExecutionRequest request;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/snapshot.h"
+#include "util/rng.h"
+
 namespace goofi::sim {
 namespace {
 
@@ -139,6 +142,162 @@ TEST_F(TapTest, TestLogicResetRevertsToBypass) {
   for (int i = 0; i < 5; ++i) tap_->Clock(true, false);
   EXPECT_EQ(tap_->instruction(), TapInstruction::kBypass);
 }
+
+// Differential proof of the word-level Shift-DR: one ShiftDataRegister
+// call must be indistinguishable from clocking the same bits one TCK at
+// a time — TDO stream, register contents, FSM state, cycle count, and
+// the CPU state that Update-DR leaves behind.
+class TapBulkShiftTest : public ::testing::TestWithParam<TapInstruction> {
+ protected:
+  struct Board {
+    Board() {
+      EXPECT_TRUE(cpu.memory().AddSegment({"code", 0, 0x1000, true, false,
+                                           true, false}).ok());
+      chains = BuildThorRdScanChains(cpu);
+      tap = std::make_unique<TapController>(&chains, &cpu);
+    }
+    Cpu cpu;
+    ScanChainSet chains;
+    std::unique_ptr<TapController> tap;
+  };
+
+  static BitVector RandomBits(Rng& rng, std::size_t n) {
+    BitVector v(n);
+    for (std::size_t i = 0; i < n; ++i) v.Set(i, rng.NextBool());
+    return v;
+  }
+
+  // Both boards get the same random CPU image through both chains, then
+  // walk Run-Test/Idle -> Select-DR -> Capture-DR -> Shift-DR.
+  void Prepare(Rng& rng) {
+    for (const char* name : {"internal", "boundary"}) {
+      const ScanChain* chain = bulk_.chains.FindChain(name);
+      const BitVector image = RandomBits(rng, chain->bit_length());
+      chain->Apply(bulk_.cpu, image);
+      clocked_.chains.FindChain(name)->Apply(clocked_.cpu, image);
+    }
+    for (Board* board : {&bulk_, &clocked_}) {
+      board->tap->Reset();
+      board->tap->LoadInstruction(GetParam());
+      board->tap->Clock(true, false);
+      board->tap->Clock(false, false);
+      board->tap->Clock(false, false);
+      ASSERT_EQ(board->tap->state(), TapState::kShiftDr);
+    }
+  }
+
+  std::size_t RegisterLength() const {
+    return bulk_.tap->CaptureState().dr_shift.size();
+  }
+
+  // k TCKs both ways; every observable must agree.
+  void ShiftBothWays(const BitVector& tdi) {
+    const BitVector bulk_tdo = bulk_.tap->ShiftDataRegister(tdi);
+    BitVector clocked_tdo(tdi.size());
+    for (std::size_t i = 0; i < tdi.size(); ++i) {
+      clocked_tdo.Set(i, clocked_.tap->Clock(/*tms=*/i + 1 == tdi.size(),
+                                             tdi.Get(i)));
+    }
+    EXPECT_TRUE(bulk_tdo == clocked_tdo);
+    ExpectTapsAgree();
+    ExpectCpusAgree();  // no Update-DR side effect while shifting
+  }
+
+  void ExpectTapsAgree() {
+    const TapControllerState a = bulk_.tap->CaptureState();
+    const TapControllerState b = clocked_.tap->CaptureState();
+    EXPECT_TRUE(a.dr_shift == b.dr_shift);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(a.instruction, b.instruction);
+    EXPECT_EQ(a.tck_cycles, b.tck_cycles);
+  }
+
+  void ExpectCpusAgree() {
+    for (const char* name : {"internal", "boundary"}) {
+      EXPECT_TRUE(bulk_.chains.FindChain(name)->Capture(bulk_.cpu) ==
+                  clocked_.chains.FindChain(name)->Capture(clocked_.cpu))
+          << name;
+    }
+  }
+
+  Board bulk_;
+  Board clocked_;
+};
+
+TEST_P(TapBulkShiftTest, FullLengthShiftThenUpdateMatchesClocking) {
+  Rng rng(0xb01c + static_cast<std::uint64_t>(GetParam()));
+  for (int round = 0; round < 3; ++round) {
+    Prepare(rng);
+    const std::size_t n = RegisterLength();
+    ShiftBothWays(RandomBits(rng, n));
+    EXPECT_EQ(bulk_.tap->state(), TapState::kExit1Dr);
+    for (Board* board : {&bulk_, &clocked_}) {
+      board->tap->Clock(true, false);  // Update-DR applies the image
+      board->tap->Clock(false, false);
+    }
+    ExpectTapsAgree();
+    ExpectCpusAgree();
+  }
+}
+
+TEST_P(TapBulkShiftTest, PartialShiftsThroughPauseMatchClocking) {
+  // Split a pass into pieces of random length, re-entering Shift-DR
+  // through Exit1 -> Pause -> Exit2 between them.
+  Rng rng(0x9a57 + static_cast<std::uint64_t>(GetParam()));
+  Prepare(rng);
+  const std::size_t n = RegisterLength();
+  for (int piece = 0; piece < 4; ++piece) {
+    const std::size_t k =
+        1 + static_cast<std::size_t>(rng.NextBelow(n));
+    ShiftBothWays(RandomBits(rng, k));
+    for (Board* board : {&bulk_, &clocked_}) {
+      board->tap->Clock(false, false);  // Pause-DR
+      board->tap->Clock(true, false);   // Exit2-DR
+      board->tap->Clock(false, false);  // Shift-DR
+    }
+  }
+  ExpectTapsAgree();
+  for (Board* board : {&bulk_, &clocked_}) {
+    board->tap->Clock(true, false);  // Exit1-DR
+    board->tap->Clock(true, false);  // Update-DR
+    board->tap->Clock(false, false);
+  }
+  ExpectTapsAgree();
+  ExpectCpusAgree();
+}
+
+TEST_P(TapBulkShiftTest, ReadAndExchangeKeepTckAccounting) {
+  // The conveniences are the same FSM walk as before: capture, two
+  // full passes and an update for a read; one pass for an exchange.
+  Rng rng(0x7c4 + static_cast<std::uint64_t>(GetParam()));
+  Prepare(rng);
+  const std::size_t n = RegisterLength();
+  bulk_.tap->Reset();
+  bulk_.tap->LoadInstruction(GetParam());
+  std::uint64_t before = bulk_.tap->tck_cycles();
+  const BitVector image = bulk_.tap->ReadDataRegister();
+  EXPECT_EQ(bulk_.tap->tck_cycles() - before, 2 * n + 8);
+  EXPECT_EQ(bulk_.tap->state(), TapState::kRunTestIdle);
+  before = bulk_.tap->tck_cycles();
+  bulk_.tap->ExchangeDataRegister(image);
+  EXPECT_EQ(bulk_.tap->tck_cycles() - before, n + 5);
+  EXPECT_EQ(bulk_.tap->state(), TapState::kRunTestIdle);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registers, TapBulkShiftTest,
+    ::testing::Values(TapInstruction::kIdcode, TapInstruction::kBypass,
+                      TapInstruction::kScanInternal,
+                      TapInstruction::kScanBoundary),
+    [](const ::testing::TestParamInfo<TapInstruction>& info) {
+      switch (info.param) {
+        case TapInstruction::kIdcode: return "Idcode";
+        case TapInstruction::kBypass: return "Bypass";
+        case TapInstruction::kScanInternal: return "Internal";
+        case TapInstruction::kScanBoundary: return "Boundary";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace goofi::sim

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/assembler.h"
+#include "support/temp_dir.h"
 
 namespace goofi::target {
 namespace {
@@ -65,7 +66,7 @@ TEST(WorkloadFileTest, LoadsTheShippedVectorScaleDefinition) {
 
 class WorkloadFileFixture : public ::testing::Test {
  protected:
-  std::string Dir() const { return ::testing::TempDir(); }
+  std::string Dir() const { return TestTempRoot().string(); }
 
   std::string WriteFile(const std::string& name,
                         const std::string& content) {

@@ -86,11 +86,14 @@ TEST(BitVectorTest, FillOneRespectsTail) {
   EXPECT_EQ(v.PopCount(), 0u);
 }
 
+// A 1-bit input shifts the vector right by one and inserts at the top.
 TEST(BitVectorTest, ShiftRightInsertTop) {
   BitVector v = BitVector::FromBitString("10110");
-  EXPECT_TRUE(v.ShiftRightInsertTop(true));    // out = old bit 0 = 1
+  BitVector out = v.ShiftRightInsert(BitVector::FromBitString("1"));
+  EXPECT_EQ(out.ToBitString(), "1");  // old bit 0
   EXPECT_EQ(v.ToBitString(), "01101");
-  EXPECT_FALSE(v.ShiftRightInsertTop(false));  // out = 0
+  out = v.ShiftRightInsert(BitVector::FromBitString("0"));
+  EXPECT_EQ(out.ToBitString(), "0");
   EXPECT_EQ(v.ToBitString(), "11010");
 }
 
@@ -98,19 +101,72 @@ TEST(BitVectorTest, ShiftAcrossWordBoundary) {
   BitVector v(130);
   v.Set(64, true);
   v.Set(129, true);
-  EXPECT_FALSE(v.ShiftRightInsertTop(false));
+  EXPECT_FALSE(v.ShiftRightInsert(BitVector(1)).Get(0));
   EXPECT_TRUE(v.Get(63));
   EXPECT_FALSE(v.Get(64));
   EXPECT_TRUE(v.Get(128));
   EXPECT_FALSE(v.Get(129));
-  // Full rotation restores the original pattern.
+  // Shifting the whole vector through itself restores it.
   BitVector w = BitVector::FromBitString("1100101");
-  BitVector original = w;
-  for (int i = 0; i < 7; ++i) {
-    const bool out = w.ShiftRightInsertTop(false);
-    w.Set(6, out);  // feed back
-  }
+  const BitVector original = w;
+  const BitVector out = w.ShiftRightInsert(w);
+  EXPECT_TRUE(out == original);
   EXPECT_TRUE(w == original);
+}
+
+TEST(BitVectorTest, ShiftRightInsertEmptyIsNoOp) {
+  BitVector v = BitVector::FromBitString("1011");
+  EXPECT_EQ(v.ShiftRightInsert(BitVector()).size(), 0u);
+  EXPECT_EQ(v.ToBitString(), "1011");
+}
+
+// The funnel shift against a bit-at-a-time model: out = low k bits,
+// v = (v >> k) | (in << (size - k)). Sizes are not multiples of 64 so
+// the tail word is partial; comparing with operator== (whole words)
+// also proves the unused tail bits stay zero.
+TEST(BitVectorTest, FunnelShiftMatchesBitModel) {
+  Rng rng(0x5eed);
+  for (const std::size_t size : {std::size_t{67}, std::size_t{130},
+                                 std::size_t{200}, std::size_t{5642}}) {
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+          size - 1, size}) {
+      BitVector v(size);
+      BitVector in(k);
+      for (std::size_t i = 0; i < size; ++i) v.Set(i, rng.NextBool());
+      for (std::size_t i = 0; i < k; ++i) in.Set(i, rng.NextBool());
+      BitVector want_out(k);
+      BitVector want(size);
+      for (std::size_t i = 0; i < k; ++i) want_out.Set(i, v.Get(i));
+      for (std::size_t i = 0; i + k < size; ++i) want.Set(i, v.Get(i + k));
+      for (std::size_t i = 0; i < k; ++i) want.Set(size - k + i, in.Get(i));
+
+      const BitVector out = v.ShiftRightInsert(in);
+      EXPECT_TRUE(out == want_out) << "size " << size << " k " << k;
+      EXPECT_TRUE(v == want) << "size " << size << " k " << k;
+    }
+  }
+}
+
+TEST(BitVectorTest, FunnelShiftKeepsTailMasked) {
+  // All-ones in and out: any bit leaking past size() would show up in
+  // PopCount (which counts whole words) and break equality with FillOne.
+  for (const std::size_t size : {std::size_t{67}, std::size_t{130}}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65},
+                                size - 1, size}) {
+      BitVector v(size);
+      v.FillOne();
+      BitVector in(k);
+      in.FillOne();
+      const BitVector out = v.ShiftRightInsert(in);
+      EXPECT_EQ(out.PopCount(), k);
+      EXPECT_EQ(v.PopCount(), size);
+      BitVector ones(size);
+      ones.FillOne();
+      EXPECT_TRUE(v == ones);
+    }
+  }
 }
 
 TEST(BitVectorTest, BitStringRoundTrip) {

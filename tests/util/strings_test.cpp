@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace goofi {
 namespace {
 
@@ -84,6 +86,14 @@ struct WildcardCase {
   const char* text;
   bool glob_match;
 };
+
+// Names each case in test listings. gtest's default printer dumps the
+// struct's raw bytes, pointers included, so the listed names would change
+// from build to build.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << "glob " << c.pattern << " vs " << (*c.text ? c.text : "<empty>")
+      << (c.glob_match ? " matches" : " does not match");
+}
 
 class GlobMatchTest : public ::testing::TestWithParam<WildcardCase> {};
 
