@@ -113,7 +113,6 @@ TapControllerState TapController::CaptureState() const {
   state.instruction = instruction_;
   state.ir_shift = ir_shift_;
   state.dr_shift = dr_shift_;
-  state.dr_length = dr_length_;
   state.tck_cycles = tck_cycles_;
   return state;
 }
@@ -123,7 +122,6 @@ void TapController::RestoreState(const TapControllerState& state) {
   instruction_ = state.instruction;
   ir_shift_ = state.ir_shift;
   dr_shift_ = state.dr_shift;
-  dr_length_ = state.dr_length;
   tck_cycles_ = state.tck_cycles;
 }
 

@@ -81,7 +81,6 @@ struct TapControllerState {
   TapInstruction instruction = TapInstruction::kBypass;
   std::uint8_t ir_shift = 0;
   BitVector dr_shift;
-  std::size_t dr_length = 1;
   std::uint64_t tck_cycles = 0;
 };
 

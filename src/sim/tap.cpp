@@ -87,7 +87,6 @@ std::size_t TapController::SelectedRegisterLength() const {
 }
 
 void TapController::CaptureSelected() {
-  dr_length_ = SelectedRegisterLength();
   switch (instruction_) {
     case TapInstruction::kIdcode:
       dr_shift_.Resize(32);

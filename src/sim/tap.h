@@ -94,7 +94,6 @@ class TapController {
   TapInstruction instruction_ = TapInstruction::kBypass;
   std::uint8_t ir_shift_ = 0;
   BitVector dr_shift_;
-  std::size_t dr_length_ = 1;
   std::uint64_t tck_cycles_ = 0;
 };
 

@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -126,7 +127,7 @@ struct Observation {
 
   // Round-trippable text form, stored in LoggedSystemState.stateVector.
   std::string Serialize() const;
-  static Result<Observation> Deserialize(const std::string& text);
+  static Result<Observation> Deserialize(std::string_view text);
 };
 
 }  // namespace goofi::target

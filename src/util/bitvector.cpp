@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <charconv>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 namespace goofi {
@@ -152,33 +155,56 @@ BitVector BitVector::FromBitString(const std::string& bits) {
 }
 
 std::string BitVector::ToHexString() const {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out = std::to_string(bit_count_);
   out.push_back(':');
-  static const char* kHex = "0123456789abcdef";
   const std::size_t nibbles = (bit_count_ + 3) / 4;
-  for (std::size_t n = 0; n < nibbles; ++n) {
-    const std::size_t bit = n * 4;
-    const std::size_t width = std::min<std::size_t>(4, bit_count_ - bit);
-    out.push_back(kHex[GetField(bit, width)]);
+  const std::size_t base = out.size();
+  out.resize(base + nibbles);
+  // Whole words, low nibble first; MaskTail keeps the bits past
+  // bit_count_ zero, so the last partial nibble needs no masking.
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t word = words_[w];
+    const std::size_t end = std::min(nibbles, (w + 1) * (kWordBits / 4));
+    for (std::size_t n = w * (kWordBits / 4); n < end; ++n, word >>= 4) {
+      out[base + n] = kHex[word & 0xF];
+    }
   }
   return out;
 }
 
-bool BitVector::FromHexString(const std::string& text, BitVector* out) {
-  const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  std::size_t bit_count = 0;
+namespace {
+
+// The "<bitcount>:" prefix. Plain digits take from_chars; anything else
+// keeps std::stoul's reading, so the accepted grammar stays what it was.
+std::optional<std::size_t> ParseBitCount(std::string_view text) {
+  std::size_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc() && end == text.data() + text.size()) return value;
   try {
-    bit_count = std::stoul(text.substr(0, colon));
+    return std::stoul(std::string(text));
   } catch (const std::exception&) {
-    return false;
+    return std::nullopt;
   }
-  const std::string hex = text.substr(colon + 1);
-  if (hex.size() != (bit_count + 3) / 4) return false;
-  BitVector v(bit_count);
+}
+
+}  // namespace
+
+bool BitVector::FromHexString(std::string_view text, BitVector* out) {
+  const std::size_t colon = text.find(':');
+  if (colon == std::string_view::npos) return false;
+  const std::optional<std::size_t> bit_count =
+      ParseBitCount(text.substr(0, colon));
+  // A count within 3 of SIZE_MAX (stoul reads "-1" as SIZE_MAX) would
+  // wrap the nibble count to 0 and yield a vector with no storage.
+  if (!bit_count || *bit_count > SIZE_MAX - 3) return false;
+  const std::string_view hex = text.substr(colon + 1);
+  if (hex.size() != (*bit_count + 3) / 4) return false;
+  BitVector v(*bit_count);
+  std::uint64_t nibble = 0;
   for (std::size_t n = 0; n < hex.size(); ++n) {
     const char c = hex[n];
-    std::uint64_t nibble = 0;
     if (c >= '0' && c <= '9') {
       nibble = static_cast<std::uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
@@ -186,11 +212,11 @@ bool BitVector::FromHexString(const std::string& text, BitVector* out) {
     } else {
       return false;
     }
-    const std::size_t bit = n * 4;
-    const std::size_t width = std::min<std::size_t>(4, bit_count - bit);
-    if (width < 4 && (nibble >> width) != 0) return false;
-    v.SetField(bit, width, nibble);
+    v.words_[n / (kWordBits / 4)] |= nibble << (4 * (n % (kWordBits / 4)));
   }
+  // The last nibble may cover bits past the count; they must be clear.
+  const std::size_t tail_bits = *bit_count % 4;
+  if (tail_bits != 0 && (nibble >> tail_bits) != 0) return false;
   *out = std::move(v);
   return true;
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace goofi {
@@ -52,9 +53,11 @@ class BitVector {
   static BitVector FromBitString(const std::string& bits);
 
   // Compact hex serialization (lowercase, 4 bits per char, bit 0 in the
-  // low nibble of the first char), prefixed with "<bitcount>:".
+  // low nibble of the first char), prefixed with "<bitcount>:". The
+  // parse takes uppercase digits as malformed, and reads the bit count
+  // as std::stoul does (leading whitespace, a sign, trailing junk).
   std::string ToHexString() const;
-  static bool FromHexString(const std::string& text, BitVector* out);
+  static bool FromHexString(std::string_view text, BitVector* out);
 
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.bit_count_ == b.bit_count_ && a.words_ == b.words_;

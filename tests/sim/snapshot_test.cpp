@@ -361,7 +361,6 @@ TEST(TapSnapshotTest, CaptureCarriesShiftRegisterAndCycleCount) {
   EXPECT_EQ(back.instruction, saved.instruction);
   EXPECT_EQ(back.ir_shift, saved.ir_shift);
   EXPECT_EQ(back.dr_shift, saved.dr_shift);
-  EXPECT_EQ(back.dr_length, saved.dr_length);
   EXPECT_EQ(back.tck_cycles, saved.tck_cycles);
 }
 

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,13 @@ struct ConformanceParam {
   // (the corresponding test skips).
   std::string readonly_location;
 };
+
+// gtest prints the param after each test's name in ctest's listing;
+// without this it dumps the struct's raw bytes, heap pointers included,
+// so the listed names would change from build to build.
+inline void PrintTo(const ConformanceParam& param, std::ostream* os) {
+  *os << param.label;
+}
 
 inline std::string ConformanceParamName(
     const ::testing::TestParamInfo<ConformanceParam>& info) {
